@@ -1102,7 +1102,7 @@ def bench_append_refresh(
         f"Append refresh: SYN {n_rows:,} base rows + "
         f"{'/'.join(str(d) for d in deltas)} appended (SHARING, delta cache)",
         notes="bitwise match vs full recompute enforced per step; "
-        "rows_scanned counts only appended rows on a delta-cache hit",
+        "rows_scanned counts the appended rows once per refresh batch",
     )
     work_dir = data_dir or tempfile.mkdtemp(prefix="seedb_append_")
     try:
@@ -1153,11 +1153,12 @@ def bench_append_refresh(
                     f"refresh after +{delta} rows missed the delta cache: "
                     f"{refresh.stats.delta_hits}/{refresh.stats.queries_issued}"
                 )
-            if refresh.stats.rows_scanned != refresh.stats.queries_issued * delta:
+            # One shared scan serves the whole refresh batch: the appended
+            # rows are read exactly once.
+            if refresh.stats.rows_scanned != delta:
                 raise AssertionError(
                     f"refresh re-read base rows: scanned "
-                    f"{refresh.stats.rows_scanned}, expected "
-                    f"{refresh.stats.queries_issued * delta}"
+                    f"{refresh.stats.rows_scanned}, expected {delta}"
                 )
 
             # From-scratch oracle over the extended store (no caches).

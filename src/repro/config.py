@@ -269,7 +269,8 @@ class EngineConfig:
     #: flag / predicate expressions evaluated once, buffer-pool pages charged
     #: once per batch.  Off = per-query dispatch (the ablation baseline).
     #: The NO_OPT strategy always runs per-query regardless — it *is* the
-    #: no-sharing baseline.
+    #: no-sharing baseline.  Composes with ``delta_cache``: a batch's
+    #: snapshot-seeded queries share one scan of the appended rows.
     shared_scan: bool = True
     #: Memoize executed view-query results in a
     #: :class:`~repro.core.cache.ViewResultCache` keyed by (table
@@ -284,8 +285,10 @@ class EngineConfig:
     #: so re-running a view after rows were *appended* restores the cached
     #: state and scans only the new chunks (bitwise-identical results to a
     #: full recompute — the streaming merge is exact by construction).
-    #: Only effective together with ``result_cache``; default **off** for
-    #: the same ablation-fidelity reason.  The serving layer turns it on.
+    #: With ``shared_scan`` the batch still shares its scans: queries are
+    #: grouped by where they resume, one scan per group.  Only effective
+    #: together with ``result_cache``; default **off** for the same
+    #: ablation-fidelity reason.  The serving layer turns it on.
     delta_cache: bool = False
     #: ``parallelism="process"`` only: when a worker process dies mid-phase
     #: and poisons the shared pool (``BrokenProcessPool``), rebuild the

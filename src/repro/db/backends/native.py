@@ -11,8 +11,11 @@ It is also the only backend with a true batch path:
 :class:`~repro.db.shared_scan.SharedScanExecutor`, which serves every query
 in it from **one** scan (shared pages charged once, shared expressions
 evaluated once) and fans only the per-query grouping out to the
-dispatcher's pool.  Per-query ``execute`` stays on the classic executor, so
-``EngineConfig(shared_scan=False)`` is an exact ablation baseline.
+dispatcher's pool.  With a delta cache attached the two compose: each
+full-prefix query resumes from its cached partial state and the batch
+shares one scan of the appended rows.  Per-query ``execute`` stays on the
+classic executor, so ``EngineConfig(shared_scan=False)`` is an exact
+ablation baseline.
 """
 
 from __future__ import annotations
@@ -55,16 +58,6 @@ class NativeBackend(Backend):
         queries: Sequence[AggregateQuery],
         fanout: Fanout | None = None,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
-        if self.executor.delta_cache is not None:
-            # Delta-aware mode: route per-query so every execution passes
-            # the append-aware path (snapshot capture + carry-merge on
-            # refresh).  Results are bitwise-identical to the shared-scan
-            # path — the differential oracle enforces that equality — and
-            # after an append each query scans only the new chunks, which
-            # is the latency the serving layer cares about.
-            if fanout is not None and len(queries) > 1:
-                return list(fanout(self.executor.execute, list(queries)))
-            return [self.executor.execute(query) for query in queries]
         return self.shared_executor.execute_batch(queries, fanout=fanout)
 
     def capabilities(self) -> BackendCapabilities:

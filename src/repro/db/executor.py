@@ -116,6 +116,66 @@ def dict_key_only_columns(
     )
 
 
+def new_aggregator(
+    query: AggregateQuery, dense_limit: int | None
+) -> StreamingGroupAggregator:
+    """A fresh streaming aggregator for ``query``'s aggregates and budget."""
+    return StreamingGroupAggregator(
+        [spec.func for spec in query.aggregates], query.group_budget, dense_limit
+    )
+
+
+class DeltaSeed:
+    """Where one full-prefix query resumes in a ``DeltaStateCache``.
+
+    Looks up the query's partial-aggregation state.  A cached entry is
+    usable when the current table either *is* the table it was captured
+    over or append-extends it (checked via
+    :attr:`~repro.db.table.Table.append_lineage`): then :attr:`aggregator`
+    restores the snapshot and the caller scans only rows from
+    :attr:`scan_from` to ``stop``, which is exactly the carry-seeded
+    continuation of the one-shot accumulation (bitwise-identical results;
+    the oracle's append leg enforces this).  Otherwise :attr:`aggregator`
+    is fresh and :attr:`scan_from` is 0.  :meth:`save` snapshots a
+    full-table state back for the next append.  Shared by the per-query
+    and shared-scan executors.
+    """
+
+    def __init__(
+        self, store: StorageEngine, cache, query: AggregateQuery, stop: int
+    ) -> None:
+        from repro.core.cache import delta_state_key
+
+        self._store = store
+        self._cache = cache
+        self._stop = stop
+        self._key = delta_state_key(store, query)
+        self.scan_from = 0
+        self.hit = False
+        table = store.table
+        entry = cache.get(self._key)
+        if entry is not None and entry.rows <= stop:
+            current = entry.fingerprint == table.fingerprint() and entry.rows <= table.nrows
+            extends = table.append_lineage.get(entry.fingerprint) == entry.rows
+            self.hit = current or extends
+        if self.hit:
+            self.aggregator = StreamingGroupAggregator.from_snapshot(entry.state)
+            self.scan_from = entry.rows
+        else:
+            self.aggregator = new_aggregator(query, store.dense_group_limit)
+
+    def save(self) -> None:
+        """Cache the aggregator's state if it covers the whole table."""
+        if self._stop == self._store.nrows:
+            self._cache.put(
+                self._key,
+                self.aggregator.snapshot(),
+                self._stop,
+                self._store.table.fingerprint(),
+                self.aggregator.snapshot_nbytes(),
+            )
+
+
 class QueryExecutor:
     """Executes logical aggregate queries against one storage engine.
 
@@ -146,10 +206,22 @@ class QueryExecutor:
 
         start, stop = query.row_range or (0, self.store.nrows)
         ranges = self.store.stream_ranges(start, stop)
+        seed: DeltaSeed | None = None
         if self.delta_cache is not None and start == 0 and stop > 0:
-            result, n_filtered = self._execute_delta(query, stop, stats)
-        elif len(ranges) > 1:
-            result, n_filtered = self._execute_streaming(query, ranges, stats)
+            seed = DeltaSeed(self.store, self.delta_cache, query, stop)
+            stats.delta_hits += seed.hit
+            scan_from = seed.scan_from
+            ranges = self.store.stream_ranges(scan_from, stop) if scan_from < stop else []
+        if seed is not None or len(ranges) > 1:
+            aggregator = (
+                seed.aggregator
+                if seed is not None
+                else new_aggregator(query, self.store.dense_group_limit)
+            )
+            self._stream_into(aggregator, query, ranges, stats)
+            if seed is not None:
+                seed.save()
+            result, n_filtered = aggregator.finalize(), aggregator.total_rows
         else:
             base_columns = sorted(query.base_columns_needed())
             skip = dict_key_only_columns(
@@ -185,29 +257,6 @@ class QueryExecutor:
         stats.wall_seconds = time.perf_counter() - started
         return build_query_result(query, result, n_filtered), stats
 
-    def _execute_streaming(
-        self,
-        query: AggregateQuery,
-        ranges: list[tuple[int, int]],
-        stats: ExecutionStats,
-    ) -> tuple[GroupResult, int]:
-        """Chunk-at-a-time execution with exact partial-state merge.
-
-        Runs the same scan → derive → filter → key/input preparation as the
-        one-shot path, one chunk-aligned subrange at a time, folding each
-        chunk into a :class:`~repro.db.streaming.StreamingGroupAggregator`.
-        Peak memory is O(chunk + groups) while the finalized result is
-        value-identical to the one-shot computation (see
-        :mod:`repro.db.streaming` for why, including the float ordering).
-        """
-        aggregator = StreamingGroupAggregator(
-            [spec.func for spec in query.aggregates],
-            query.group_budget,
-            self.store.dense_group_limit,
-        )
-        self._stream_into(aggregator, query, ranges, stats)
-        return aggregator.finalize(), aggregator.total_rows
-
     def _stream_into(
         self,
         aggregator: StreamingGroupAggregator,
@@ -215,7 +264,14 @@ class QueryExecutor:
         ranges: list[tuple[int, int]],
         stats: ExecutionStats,
     ) -> None:
-        """Fold ``ranges`` chunk-at-a-time into ``aggregator``."""
+        """Fold ``ranges`` chunk-at-a-time into ``aggregator``.
+
+        Runs the same scan → derive → filter → key/input preparation as the
+        one-shot path, one chunk-aligned subrange at a time.  Peak memory
+        is O(chunk + groups) while the finalized result is value-identical
+        to the one-shot computation (see :mod:`repro.db.streaming` for why,
+        including the float ordering).
+        """
         base_columns = sorted(query.base_columns_needed())
         skip = dict_key_only_columns(
             self.store.table, base_columns, query.value_columns_needed()
@@ -238,55 +294,6 @@ class QueryExecutor:
             )
             aggregate_inputs = self._aggregate_inputs(query, arrays, selector)
             aggregator.update(key_columns, aggregate_inputs)
-
-    def _execute_delta(
-        self, query: AggregateQuery, stop: int, stats: ExecutionStats
-    ) -> tuple[GroupResult, int]:
-        """Append-aware execution: seed from cached state, scan the delta.
-
-        Looks up the query's partial-aggregation state in the delta cache.
-        A cached entry is usable when the current table either *is* the
-        table it was captured over or append-extends it (checked via
-        :attr:`~repro.db.table.Table.append_lineage`) — then the
-        aggregator restores the snapshot and streams only rows past the
-        cached prefix, which is exactly the carry-seeded continuation of
-        the one-shot accumulation (bitwise-identical results; the oracle's
-        append leg enforces this).  Otherwise the full range streams into
-        a fresh aggregator.  Full-table executions snapshot their final
-        state back into the cache for the next append.
-        """
-        from repro.core.cache import delta_state_key
-
-        table = self.store.table
-        key = delta_state_key(self.store, query)
-        entry = self.delta_cache.get(key)
-        aggregator: StreamingGroupAggregator | None = None
-        scan_from = 0
-        if entry is not None and entry.rows <= stop:
-            current = entry.fingerprint == table.fingerprint() and entry.rows <= table.nrows
-            extends = table.append_lineage.get(entry.fingerprint) == entry.rows
-            if current or extends:
-                aggregator = StreamingGroupAggregator.from_snapshot(entry.state)
-                scan_from = entry.rows
-                stats.delta_hits += 1
-        if aggregator is None:
-            aggregator = StreamingGroupAggregator(
-                [spec.func for spec in query.aggregates],
-                query.group_budget,
-                self.store.dense_group_limit,
-            )
-        if scan_from < stop:
-            ranges = self.store.stream_ranges(scan_from, stop)
-            self._stream_into(aggregator, query, ranges, stats)
-        if stop == self.store.nrows:
-            self.delta_cache.put(
-                key,
-                aggregator.snapshot(),
-                stop,
-                table.fingerprint(),
-                aggregator.snapshot_nbytes(),
-            )
-        return aggregator.finalize(), aggregator.total_rows
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -40,16 +40,17 @@ import numpy as np
 
 from repro.config import ExecutionStats
 from repro.db.executor import (
+    DeltaSeed,
     build_query_result,
     dict_key_only_columns,
     global_group_key,
+    new_aggregator,
     tally_aggregation,
 )
 from repro.db.expressions import Expression
 from repro.db.groupby import GroupKeyColumn, group_aggregate
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
-from repro.db.streaming import StreamingGroupAggregator
 from repro.exceptions import QueryError
 
 #: Runs ``fn`` over ``items`` concurrently, preserving order — the shape the
@@ -108,9 +109,14 @@ class SharedScanExecutor:
 
     Semantically equivalent to looping :meth:`QueryExecutor.execute`, but
     every piece of work two queries in the batch have in common is done
-    once (see module docstring).  Safe for one ``execute_batch`` call at a
-    time per instance; the per-query jobs it hands to ``fanout`` are
-    read-only over shared state and may run concurrently.
+    once (see module docstring).  Safe for concurrent ``execute_batch``
+    calls on one instance — the serving tier's request threads share one
+    engine: every call keeps its prepared arrays, aggregators and stats in
+    locals and touches only thread-safe shared structures (the locked
+    buffer pool and dictionary cache, and the locked delta cache, whose
+    snapshots are copied on both ends).  The per-query jobs it hands to
+    ``fanout`` are read-only over the call's prepared state and may run
+    concurrently.
 
     Example::
 
@@ -124,8 +130,13 @@ class SharedScanExecutor:
     :meth:`NativeBackend.execute_batch`, not directly.
     """
 
-    def __init__(self, store: StorageEngine) -> None:
+    def __init__(self, store: StorageEngine, delta_cache=None) -> None:
         self.store = store
+        #: Optional :class:`~repro.core.cache.DeltaStateCache`: full-prefix
+        #: queries resume from their cached partial state and the batch
+        #: shares one scan of the appended rows (attached by the engine
+        #: when ``EngineConfig.delta_cache`` is on).
+        self.delta_cache = delta_cache
 
     def execute_batch(
         self,
@@ -151,21 +162,31 @@ class SharedScanExecutor:
                     f"{table_name!r}"
                 )
 
-        by_range: dict[tuple[int, int], list[int]] = {}
+        # Full-prefix queries resume from their delta-cache snapshot (if
+        # any) and are grouped by where their scan resumes; a delta group
+        # always streams, so every query folds into its own aggregator.
+        seeds: dict[int, DeltaSeed] = {}
+        by_range: dict[tuple[int, int, bool], list[int]] = {}
         for i, query in enumerate(queries):
-            by_range.setdefault(query.row_range or (0, self.store.nrows), []).append(i)
+            start, stop = query.row_range or (0, self.store.nrows)
+            if self.delta_cache is not None and start == 0 and stop > 0:
+                seeds[i] = DeltaSeed(self.store, self.delta_cache, query, stop)
+                start = seeds[i].scan_from
+            by_range.setdefault((start, stop, i in seeds), []).append(i)
 
         prepared: list[_PreparedQuery | None] = [None] * len(queries)
         streamed: dict[int, tuple[QueryResult, ExecutionStats]] = {}
         shared_stats: list[tuple[list[int], ExecutionStats]] = []
-        for (start, stop), indices in by_range.items():
-            ranges = self.store.stream_ranges(start, stop)
+        for (start, stop, delta), indices in by_range.items():
+            ranges = self.store.stream_ranges(start, stop) if start < stop else []
             prep_started = time.perf_counter()
             scan_stats = ExecutionStats()
-            if len(ranges) > 1:
+            if delta or len(ranges) > 1:
                 for i, outcome in zip(
                     indices,
-                    self._execute_streaming_range(queries, indices, ranges, scan_stats),
+                    self._execute_streaming_range(
+                        queries, indices, ranges, scan_stats, seeds
+                    ),
                 ):
                     streamed[i] = outcome
             else:
@@ -193,6 +214,7 @@ class SharedScanExecutor:
         indices: list[int],
         ranges: Sequence[tuple[int, int]],
         scan_stats: ExecutionStats,
+        seeds: dict[int, DeltaSeed],
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """Serve one row range's batch by streaming chunk-aligned subranges.
 
@@ -200,18 +222,18 @@ class SharedScanExecutor:
         one-shot path — union scan charged once into ``scan_stats``, shared
         derived/predicate/argument expressions evaluated once per chunk —
         and every query folds its chunk-local prepared state into a
-        :class:`~repro.db.streaming.StreamingGroupAggregator`.  Peak memory
-        is O(chunk + per-query groups); finalized results are
-        value-identical to the one-shot batch (and therefore to the
-        per-query executor), which the differential oracle enforces.
+        :class:`~repro.db.streaming.StreamingGroupAggregator`: the one its
+        :class:`~repro.db.executor.DeltaSeed` in ``seeds`` holds (restored
+        from a snapshot or fresh, and saved back after the scan), else a
+        fresh one.  Peak memory is O(chunk + per-query groups); finalized
+        results are value-identical to the one-shot batch (and therefore to
+        the per-query executor), which the differential oracle enforces.
         Returns outcomes aligned with ``indices``.
         """
         aggregators = {
-            i: StreamingGroupAggregator(
-                [spec.func for spec in queries[i].aggregates],
-                queries[i].group_budget,
-                self.store.dense_group_limit,
-            )
+            i: seeds[i].aggregator
+            if i in seeds
+            else new_aggregator(queries[i], self.store.dense_group_limit)
             for i in indices
         }
         for sub_start, sub_stop in ranges:
@@ -228,6 +250,9 @@ class SharedScanExecutor:
             stats = ExecutionStats()
             started = time.perf_counter()
             aggregator = aggregators[i]
+            if i in seeds:
+                stats.delta_hits += seeds[i].hit
+                seeds[i].save()
             result = aggregator.finalize()
             tally_aggregation(
                 stats, self.store.table.schema, queries[i], result, aggregator.total_rows

@@ -7,6 +7,7 @@ batch's buffer-pool charges count every shared page exactly once.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.db.executor import QueryExecutor
@@ -386,3 +387,116 @@ class TestFanout:
         assert sum(s.pages_missed + s.pages_hit for _, s in serial) == sum(
             s.pages_missed + s.pages_hit for _, s in fanned
         )
+
+
+def _assert_bitwise(expected, actual):
+    assert actual.n_groups == expected.n_groups
+    assert actual.input_rows == expected.input_rows
+    assert set(actual.groups) == set(expected.groups)
+    assert set(actual.values) == set(expected.values)
+    for name in expected.groups:
+        assert np.array_equal(actual.groups[name], expected.groups[name])
+    for name in expected.values:
+        assert np.array_equal(actual.values[name], expected.values[name], equal_nan=True)
+
+
+class TestConcurrentDeltaBatches:
+    """Delta-mode ``execute_batch`` is the serving path: threads share it."""
+
+    def test_threads_match_serial_and_keep_the_cache_consistent(
+        self, tmp_path, census_like
+    ):
+        import sys
+        import threading
+
+        from repro.core.cache import DeltaStateCache, delta_state_key
+        from repro.db.chunks import append_rows, open_table, write_table
+
+        base_rows = 18_000
+        write_table(census_like.slice_rows(0, base_rows), tmp_path / "ds", chunk_rows=512)
+        table = open_table(tmp_path / "ds")
+        store = make_store("col", table)
+        shared = SharedScanExecutor(store, delta_cache=DeltaStateCache())
+        queries = [
+            _census_flag_query(dim, measure)
+            for dim in ("race", "sex")
+            for measure in ("capital", "age")
+        ] + [
+            _query(
+                "census_like",
+                group_by=(),
+                aggregates=(AggregateSpec(SUM, "capital", "s"),),
+                predicate=eq("sex", "F"),
+            )
+        ]
+        shared.execute_batch(queries)  # captures every snapshot
+        append_rows(
+            tmp_path / "ds",
+            {
+                col.name: np.asarray(census_like.column(col.name))[base_rows:]
+                for col in census_like.schema
+            },
+        )
+        table.refresh_from_disk()
+        store.sync_layout()
+        serial = SharedScanExecutor(make_store("col", open_table(tmp_path / "ds")))
+        expected = [result for result, _ in serial.execute_batch(queries)]
+
+        # Every round, all threads resume from the pre-append snapshots at
+        # once and race their scans, lookups and write-backs; more threads
+        # than cores widen the races.
+        pre_append = {
+            key: shared.delta_cache.get(key)
+            for key in (delta_state_key(store, query) for query in queries)
+        }
+
+        def rewind() -> None:
+            for key, entry in pre_append.items():
+                shared.delta_cache.put(
+                    key, entry.state, entry.rows, entry.fingerprint, entry.nbytes
+                )
+
+        n_threads, n_runs = 4, 5
+        barrier = threading.Barrier(n_threads, action=rewind, timeout=60)
+        outcomes: list[list] = [[] for _ in range(n_threads)]
+        errors: list[BaseException] = []
+
+        def worker(slot: int) -> None:
+            try:
+                for _ in range(n_runs):
+                    barrier.wait()
+                    outcomes[slot].append(shared.execute_batch(queries))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for runs in outcomes:
+            assert len(runs) == n_runs
+            for run in runs:
+                assert sum(stats.delta_hits for _, stats in run) == len(queries)
+                for want, (got, _) in zip(expected, run):
+                    _assert_bitwise(want, got)
+
+        # Every snapshot now covers exactly the appended table ...
+        for query in queries:
+            entry = shared.delta_cache.get(delta_state_key(store, query))
+            assert entry is not None
+            assert entry.rows == table.nrows
+            assert entry.fingerprint == table.fingerprint()
+        # ... so a further batch is served from snapshots alone, exactly.
+        again = shared.execute_batch(queries)
+        assert sum(stats.delta_hits for _, stats in again) == len(queries)
+        assert sum(stats.rows_scanned for _, stats in again) == 0
+        for want, (got, _) in zip(expected, again):
+            _assert_bitwise(want, got)

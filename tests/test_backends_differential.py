@@ -464,10 +464,11 @@ def test_differential_append_refresh(tmp_path, seed, strategy):
         engine.meta = TableMeta.of(chunked)
         refreshed = run_once()
 
-    # Every query carry-merged its snapshot and scanned only the delta.
+    # Every query carry-merged its snapshot and scanned only the delta:
+    # once per query under NO_OPT, once for the whole shared-scan batch.
     assert refreshed.stats.delta_hits == refreshed.stats.queries_issued > 0
     assert refreshed.stats.rows_scanned == (
-        refreshed.stats.queries_issued * n_delta
+        refreshed.stats.queries_issued * n_delta if strategy == "no_opt" else n_delta
     )
 
     resident = _run(full, "native", strategy, "all")
@@ -488,6 +489,123 @@ def test_differential_append_refresh(tmp_path, seed, strategy):
 
     # And with the independent SQL engine.
     _assert_equivalent(refreshed, sqlite)
+
+
+def _append_to_delta_engine(tmp_path, full: Table, n_delta: int):
+    """A delta-mode engine over a chunk store of all but ``n_delta`` rows.
+
+    Returns ``(engine, chunked, views, append)``; ``append()`` adds the
+    remaining rows on disk and refreshes the engine over them.
+    """
+    from repro.db.chunks import append_rows, open_table, write_table
+
+    base_rows = full.nrows - n_delta
+    write_table(full.slice_rows(0, base_rows), tmp_path / "ds", chunk_rows=16)
+    chunked = open_table(tmp_path / "ds")
+    config = EngineConfig(
+        store="col", n_phases=4, backend="native", n_parallel_queries=4
+    ).with_(result_cache=True, delta_cache=True)
+    engine = ExecutionEngine(
+        make_store("col", chunked), get_metric("emd"), config, CostModel()
+    )
+
+    def append():
+        append_rows(
+            tmp_path / "ds",
+            {
+                col.name: np.asarray(full.column(col.name))[base_rows:]
+                for col in full.schema
+            },
+        )
+        chunked.refresh_from_disk()
+        engine.store.sync_layout()
+        engine.meta = TableMeta.of(chunked)
+
+    return engine, chunked, list(ViewSpace.enumerate(TableMeta.of(chunked))), append
+
+
+def _assert_bitwise(run, resident):
+    assert run.selected == resident.selected
+    assert set(run.utilities) == set(resident.utilities)
+    for key, value in resident.utilities.items():
+        assert run.utilities[key] == value  # exact, not approx
+    for key, dists in resident.distributions.items():
+        other = run.distributions[key]
+        assert np.array_equal(dists.keys, other.keys)
+        assert np.array_equal(dists.target, other.target, equal_nan=True)
+        assert np.array_equal(dists.reference, other.reference, equal_nan=True)
+    assert run.stats.queries_issued == resident.stats.queries_issued
+    assert run.phases_executed == resident.phases_executed
+
+
+#: Tables with at least two dimensions, so a run over the first dimension's
+#: views leaves the other dimensions' queries without a snapshot.
+MIXED_APPEND_SEEDS = [
+    seed
+    for seed in range(800, 840)
+    if TableMeta.of(_random_table(seed)).n_dimensions >= 2
+][:4]
+
+
+@pytest.mark.parametrize("seed", MIXED_APPEND_SEEDS)
+def test_differential_append_mixed_batch(tmp_path, seed):
+    """A refresh batch mixing seeded and cold queries stays bitwise exact.
+
+    The first run covers only the first dimension's views, so after the
+    append only their queries hold snapshots.  The refresh over every view
+    then batches the seeded queries (resuming at the old row count) beside
+    the cold ones (scanning from row 0): one shared scan per group, so the
+    delta is read once and the whole table once.
+    """
+    full = _random_table(seed)
+    n_delta = max(full.nrows // 10, 2)
+    engine, _, views, append = _append_to_delta_engine(tmp_path, full, n_delta)
+    with engine:
+
+        def run(subset):
+            return engine.run(
+                subset,
+                E.eq("part", "t"),
+                k=3,
+                strategy="sharing",
+                pruner="none",
+                reference_mode="all",
+            )
+
+        first = run([v for v in views if v.dimension == views[0].dimension])
+        append()
+        refreshed = run(views)
+
+    assert 0 < first.stats.queries_issued < refreshed.stats.queries_issued
+    assert refreshed.stats.delta_hits == first.stats.queries_issued
+    assert refreshed.stats.rows_scanned == n_delta + full.nrows
+    _assert_bitwise(refreshed, _run(full, "native", "sharing", "all"))
+    _assert_equivalent(refreshed, _run(full, "sqlite", "sharing", "all"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_differential_append_comb_delta_mode(tmp_path, seed):
+    """Phased COMB on a delta-mode engine after an append stays exact.
+
+    A SHARING run captures full-table snapshots first.  COMB's first phase
+    (rows from 0) then takes the delta-seeded batch path and every later
+    phase (start > 0) the plain shared scan; the result must be bitwise
+    the resident COMB run over the full table.
+    """
+    full = _random_table(900 + seed)
+    engine, _, views, append = _append_to_delta_engine(
+        tmp_path, full, max(full.nrows // 10, 2)
+    )
+    with engine:
+        engine.run(
+            views, E.eq("part", "t"), k=3, strategy="sharing", pruner="none"
+        )
+        append()
+        comb = engine.run(
+            views, E.eq("part", "t"), k=3, strategy="comb", pruner="ci"
+        )
+    _assert_bitwise(comb, _run(full, "native", "comb", "all"))
+    _assert_equivalent(comb, _run(full, "sqlite", "comb", "all"))
 
 
 OPTIMIZER_CASES = [
