@@ -13,16 +13,30 @@ touches shared structures that are themselves thread-safe (the storage
 engine's locked buffer pool and the table's locked dictionary cache).  The
 parallel dispatcher (:mod:`repro.core.parallel`) relies on this to run many
 ``execute`` calls concurrently against one executor.
+
+Expressions run in code space (:class:`CodeSpace`, also used by the
+shared-scan executor): each call compiles its subtrees over one
+dictionary-backed column into lookups over that column's categories, so
+predicates and flags gather by dictionary codes instead of comparing every
+row's value, with bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import ExecutionStats
-from repro.db.groupby import GroupKeyColumn, GroupResult, group_aggregate
+from repro.db.expressions import (
+    Expression,
+    codes_key,
+    compile_codes,
+    lookup_columns,
+    value_columns,
+)
+from repro.db.groupby import GroupKeyColumn, GroupResult, factorize, group_aggregate
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
 from repro.db.streaming import StreamingGroupAggregator
@@ -98,21 +112,135 @@ def global_group_key(n_rows: int) -> GroupKeyColumn:
     )
 
 
-def dict_key_only_columns(
-    table, base_columns, value_columns
-) -> frozenset[str]:
-    """Dictionary-encoded columns needed only as group-by keys.
+def _query_expressions(query: AggregateQuery) -> list[Expression]:
+    """Every expression ``query`` evaluates: derived, predicate, arguments."""
+    exprs = [d.expression for d in query.derived]
+    if query.predicate is not None:
+        exprs.append(query.predicate)
+    exprs.extend(
+        spec.argument
+        for spec in query.aggregates
+        if spec.argument is not None and not isinstance(spec.argument, str)
+    )
+    return exprs
 
-    These are scanned (pages charged — the physical read *is* the 4-byte
-    codes) but never decoded: the executors fetch their codes via
-    ``dictionary_slice``, so materializing string values would be pure
-    waste.  Shared by the per-query and shared-scan executors.
+
+class CodeSpace:
+    """One execution call's expressions, compiled to read dictionary codes.
+
+    Built once per :meth:`QueryExecutor.execute` /
+    :meth:`~repro.db.shared_scan.SharedScanExecutor.execute_batch` call
+    and passed down as a local — never stored on an executor, so
+    concurrent calls never see each other's compiled trees.  Each
+    expression that references none of its query's derived aliases is
+    compiled once (:func:`~repro.db.expressions.compile_codes`) over the
+    columns whose dictionary is free
+    (:meth:`~repro.db.table.Table.code_space_categories`) and smaller than
+    the rows the call scans, so a lookup never outgrows the rows it
+    replaces.  Results are bitwise those of value-space evaluation.
+
+    :meth:`scan` then serves each range: value arrays for the columns some
+    query reads by value, int32 codes (under
+    :func:`~repro.db.expressions.codes_key`) for the columns lookups read.
+    A dictionary-encoded column read only through codes — a pure group
+    key, or a column every reference to which compiled to a lookup — is
+    charged but never decoded.  Page and byte charges are those of a
+    value scan of every base column.  A range whose dictionary is no
+    longer the compiled one (the table was refreshed mid-call with new
+    categories) gets decoded values instead, so its lookups run in value
+    space.
     """
-    return frozenset(
-        name
-        for name in base_columns
-        if name not in value_columns
-        and table.chunked_column(name).is_dict_encoded
+
+    def __init__(
+        self, store: StorageEngine, queries: Sequence[AggregateQuery], n_rows: int
+    ) -> None:
+        self._store = store
+        table = store.table
+        uses = [
+            (expr, query.derived_aliases)
+            for query in queries
+            for expr in _query_expressions(query)
+        ]
+        self._categories: dict[str, np.ndarray] = {}
+        names = set().union(*(expr.referenced_columns() for expr, _ in uses))
+        for name in names:
+            if name in table.schema:
+                cats = table.code_space_categories(name)
+                if cats is not None and len(cats) < n_rows:
+                    self._categories[name] = cats
+        # Keyed by the queries' own expression objects, so :meth:`compile`
+        # never re-hashes a tree; equal pairs (the batch's shared target
+        # flag above all) compile once.
+        self._compiled: dict[tuple[int, frozenset[str]], Expression] = {}
+        by_value: dict[tuple[Expression, frozenset[str]], Expression] = {}
+        for expr, aliases in uses:
+            if not self._categories or expr.referenced_columns() & aliases:
+                compiled: Expression | None = expr
+            else:
+                try:
+                    compiled = by_value.get((expr, aliases))
+                except TypeError:  # unhashable literal: stays in value space
+                    compiled = expr
+                if compiled is None:
+                    compiled = compile_codes(expr, self._categories)
+                    by_value[(expr, aliases)] = compiled
+            self._compiled[(id(expr), aliases)] = compiled
+        value_read = {
+            spec.argument
+            for query in queries
+            for spec in query.aggregates
+            if isinstance(spec.argument, str)
+        }
+        lookups: set[str] = set()
+        for compiled in self._compiled.values():
+            value_read |= value_columns(compiled)
+            lookups |= lookup_columns(compiled)
+        #: Columns some query reads by value (materialized by :meth:`scan`).
+        self.value_columns = frozenset(value_read)
+        #: Columns some compiled expression reads through codes.
+        self.lookup_columns = tuple(sorted(lookups))
+
+    def compile(self, expr: Expression, aliases: frozenset[str]) -> Expression:
+        """``expr`` (an expression of this call's queries) in code space.
+
+        ``expr`` itself when it stays in value space: it references a
+        derived alias in ``aliases``, carries unhashable literals, or is
+        not one of the queries' expression objects.
+        """
+        return self._compiled.get((id(expr), aliases), expr)
+
+    def scan(
+        self,
+        base_columns: Sequence[str],
+        start: int,
+        stop: int,
+        stats: ExecutionStats,
+    ) -> dict[object, np.ndarray]:
+        """Arrays for rows ``[start, stop)``: values, plus lookup codes."""
+        store = self._store
+        skip = frozenset(
+            name
+            for name in base_columns
+            if name not in self.value_columns
+            and store.table.chunked_column(name).is_dict_encoded
+        )
+        arrays: dict[object, np.ndarray] = dict(
+            store.scan(base_columns, start, stop, stats, skip_materialize=skip)
+        )
+        for name in self.lookup_columns:
+            if name in base_columns:
+                codes, cats = store.dictionary_slice(name, start, stop)
+                if _same_categories(cats, self._categories[name]):
+                    arrays[codes_key(name)] = codes
+                elif name not in arrays:
+                    arrays[name] = cats[codes]
+        return arrays
+
+
+def _same_categories(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two category arrays are bit for bit the same."""
+    return a is b or (
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     )
 
 
@@ -212,88 +340,65 @@ class QueryExecutor:
             stats.delta_hits += seed.hit
             scan_from = seed.scan_from
             ranges = self.store.stream_ranges(scan_from, stop) if scan_from < stop else []
+        code_space = CodeSpace(self.store, [query], sum(b - a for a, b in ranges))
+        base_columns = sorted(query.base_columns_needed())
         if seed is not None or len(ranges) > 1:
             aggregator = (
                 seed.aggregator
                 if seed is not None
                 else new_aggregator(query, self.store.dense_group_limit)
             )
-            self._stream_into(aggregator, query, ranges, stats)
+            # Streaming: the same preparation one chunk-aligned subrange at
+            # a time.  Peak memory is O(chunk + groups) while the finalized
+            # result is value-identical to the one-shot computation (see
+            # :mod:`repro.db.streaming` for why, including float ordering).
+            for sub_start, sub_stop in ranges:
+                key_columns, aggregate_inputs, _ = self._prepare(
+                    query, code_space, base_columns, sub_start, sub_stop, stats
+                )
+                aggregator.update(key_columns, aggregate_inputs)
             if seed is not None:
                 seed.save()
             result, n_filtered = aggregator.finalize(), aggregator.total_rows
         else:
-            base_columns = sorted(query.base_columns_needed())
-            skip = dict_key_only_columns(
-                self.store.table, base_columns, query.value_columns_needed()
+            key_columns, aggregate_inputs, n_filtered = self._prepare(
+                query, code_space, base_columns, start, stop, stats
             )
-            arrays = dict(
-                self.store.scan(
-                    base_columns, start, stop, stats, skip_materialize=skip
-                )
-            )
-
-            for derived in query.derived:
-                arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays))
-
-            if query.predicate is not None:
-                mask = query.predicate.evaluate(arrays).astype(bool)
-                selector = np.flatnonzero(mask)
-            else:
-                selector = None
-
-            key_columns = self._group_key_columns(query, arrays, start, stop, selector)
-            aggregate_inputs = self._aggregate_inputs(query, arrays, selector)
-
             result = group_aggregate(
                 key_columns,
                 aggregate_inputs,
                 query.group_budget,
                 dense_limit=self.store.dense_group_limit,
             )
-            n_filtered = len(selector) if selector is not None else (stop - start)
 
         tally_aggregation(stats, self.store.table.schema, query, result, n_filtered)
         stats.wall_seconds = time.perf_counter() - started
         return build_query_result(query, result, n_filtered), stats
 
-    def _stream_into(
+    def _prepare(
         self,
-        aggregator: StreamingGroupAggregator,
         query: AggregateQuery,
-        ranges: list[tuple[int, int]],
+        code_space: CodeSpace,
+        base_columns: list[str],
+        start: int,
+        stop: int,
         stats: ExecutionStats,
-    ) -> None:
-        """Fold ``ranges`` chunk-at-a-time into ``aggregator``.
-
-        Runs the same scan → derive → filter → key/input preparation as the
-        one-shot path, one chunk-aligned subrange at a time.  Peak memory
-        is O(chunk + groups) while the finalized result is value-identical
-        to the one-shot computation (see :mod:`repro.db.streaming` for why,
-        including the float ordering).
-        """
-        base_columns = sorted(query.base_columns_needed())
-        skip = dict_key_only_columns(
-            self.store.table, base_columns, query.value_columns_needed()
-        )
-        for sub_start, sub_stop in ranges:
-            arrays = dict(
-                self.store.scan(
-                    base_columns, sub_start, sub_stop, stats, skip_materialize=skip
-                )
-            )
-            for derived in query.derived:
-                arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays))
-            if query.predicate is not None:
-                mask = query.predicate.evaluate(arrays).astype(bool)
-                selector = np.flatnonzero(mask)
-            else:
-                selector = None
-            key_columns = self._group_key_columns(
-                query, arrays, sub_start, sub_stop, selector
-            )
-            aggregate_inputs = self._aggregate_inputs(query, arrays, selector)
-            aggregator.update(key_columns, aggregate_inputs)
+    ) -> tuple[list[GroupKeyColumn], list, int]:
+        """Scan → derive → filter → key/input preparation of one range."""
+        aliases = query.derived_aliases
+        arrays = code_space.scan(base_columns, start, stop, stats)
+        for derived in query.derived:
+            expr = code_space.compile(derived.expression, aliases)
+            arrays[derived.alias] = np.asarray(expr.evaluate(arrays))
+        if query.predicate is not None:
+            mask = code_space.compile(query.predicate, aliases).evaluate(arrays)
+            selector = np.flatnonzero(mask.astype(bool))
+        else:
+            selector = None
+        key_columns = self._group_key_columns(query, arrays, start, stop, selector)
+        aggregate_inputs = self._aggregate_inputs(query, code_space, arrays, selector)
+        n_filtered = len(selector) if selector is not None else (stop - start)
+        return key_columns, aggregate_inputs, n_filtered
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -319,10 +424,8 @@ class QueryExecutor:
                 values = arrays[name]
                 if selector is not None:
                     values = values[selector]
-                categories, codes = np.unique(values, return_inverse=True)
-                key_columns.append(
-                    GroupKeyColumn(name, codes.astype(np.int32), categories)
-                )
+                categories, codes = factorize(values)
+                key_columns.append(GroupKeyColumn(name, codes, categories))
             else:
                 sliced, categories = self.store.dictionary_slice(
                     name, start, stop, values=arrays.get(name)
@@ -339,6 +442,7 @@ class QueryExecutor:
     @staticmethod
     def _aggregate_inputs(
         query: AggregateQuery,
+        code_space: CodeSpace,
         arrays: dict[str, np.ndarray],
         selector: np.ndarray | None,
     ):
@@ -349,7 +453,8 @@ class QueryExecutor:
             elif isinstance(spec.argument, str):
                 values = arrays[spec.argument]
             else:
-                values = np.asarray(spec.argument.evaluate(arrays), dtype=np.float64)
+                expr = code_space.compile(spec.argument, query.derived_aliases)
+                values = np.asarray(expr.evaluate(arrays), dtype=np.float64)
             if values is not None and selector is not None:
                 values = values[selector]
             inputs.append((spec.func, values))

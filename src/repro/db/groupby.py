@@ -53,6 +53,32 @@ def spill_data_passes(n_partitions: int) -> int:
     return 2 * max(levels, 1)
 
 
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(categories, int32 codes)`` of ``values``, as ``np.unique`` gives them.
+
+    Identical to ``np.unique(values, return_inverse=True)`` with the
+    inverse cast to int32 (categories dtype included).  Bool and integer
+    arrays (up to 32-bit unsigned) whose value span is at most
+    ``max(len(values), 1024)`` are mapped in O(n) with one ``np.bincount``
+    instead of a sort; that is the common case of a derived key such as
+    the sharing optimizer's 0/1 target flag.  Everything else sorts.
+    """
+    values = np.asarray(values)
+    kind, size = values.dtype.kind, values.dtype.itemsize
+    if len(values) and (kind in "bi" or (kind == "u" and size < 8)):
+        wide = values.astype(np.int64, copy=False)
+        lo = int(wide.min())
+        span = int(wide.max()) - lo + 1
+        if span <= max(len(values), 1024):
+            offsets = wide - lo
+            present = np.bincount(offsets, minlength=span) > 0
+            categories = (np.flatnonzero(present) + lo).astype(values.dtype)
+            ranks = (np.cumsum(present) - 1).astype(np.int32)
+            return categories, ranks[offsets]
+    categories, codes = np.unique(values, return_inverse=True)
+    return categories, codes.astype(np.int32)
+
+
 @dataclass(frozen=True)
 class GroupKeyColumn:
     """One group-by key: row-aligned dictionary codes plus categories."""

@@ -17,6 +17,19 @@ scope:
   evaluated once, and its selector, filtered code slices, filtered value
   arrays, and factorized derived group keys are cached and shared by every
   query in the batch that uses them;
+* those expressions are evaluated in **code space**: a
+  :class:`~repro.db.executor.CodeSpace` built once per ``execute_batch``
+  call rewrites every subtree over one column with a free dictionary
+  (dict-encoded on disk, or a resident column that is neither a measure
+  nor a float) into a lookup over that column's few categories, which
+  each chunk gathers by its int32 codes (or, in a range read after a
+  refresh changed the dictionary, by value) — so the target flag's
+  ``readmitted = 'yes'`` never compares the rows' strings.  Every
+  expression node is elementwise, so ``f(values)[i] ==
+  f(categories)[codes[i]]`` and results stay bitwise identical; a
+  dict-encoded column read only through codes is never
+  decoded.  Derived keys such as the flag are factorized by
+  :func:`~repro.db.groupby.factorize` (a bincount, not a sort);
 * per-query grouping and aggregation — the only genuinely per-query work —
   run over the shared arrays, optionally fanned out onto the parallel
   dispatcher's thread pool.
@@ -40,15 +53,15 @@ import numpy as np
 
 from repro.config import ExecutionStats
 from repro.db.executor import (
+    CodeSpace,
     DeltaSeed,
     build_query_result,
-    dict_key_only_columns,
     global_group_key,
     new_aggregator,
     tally_aggregation,
 )
 from repro.db.expressions import Expression
-from repro.db.groupby import GroupKeyColumn, group_aggregate
+from repro.db.groupby import GroupKeyColumn, factorize, group_aggregate
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
 from repro.exceptions import QueryError
@@ -173,6 +186,10 @@ class SharedScanExecutor:
                 seeds[i] = DeltaSeed(self.store, self.delta_cache, query, stop)
                 start = seeds[i].scan_from
             by_range.setdefault((start, stop, i in seeds), []).append(i)
+        # Compiled once per call, a local: concurrent calls never share it.
+        code_space = CodeSpace(
+            self.store, queries, sum(stop - start for start, stop, _ in by_range)
+        )
 
         prepared: list[_PreparedQuery | None] = [None] * len(queries)
         streamed: dict[int, tuple[QueryResult, ExecutionStats]] = {}
@@ -185,12 +202,14 @@ class SharedScanExecutor:
                 for i, outcome in zip(
                     indices,
                     self._execute_streaming_range(
-                        queries, indices, ranges, scan_stats, seeds
+                        queries, indices, ranges, scan_stats, seeds, code_space
                     ),
                 ):
                     streamed[i] = outcome
             else:
-                self._prepare_range(queries, indices, start, stop, scan_stats, prepared)
+                self._prepare_range(
+                    queries, indices, start, stop, scan_stats, prepared, code_space
+                )
             scan_stats.wall_seconds = time.perf_counter() - prep_started
             shared_stats.append((indices, scan_stats))
 
@@ -215,6 +234,7 @@ class SharedScanExecutor:
         ranges: Sequence[tuple[int, int]],
         scan_stats: ExecutionStats,
         seeds: dict[int, DeltaSeed],
+        code_space: CodeSpace,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """Serve one row range's batch by streaming chunk-aligned subranges.
 
@@ -239,7 +259,13 @@ class SharedScanExecutor:
         for sub_start, sub_stop in ranges:
             chunk_prepared: list[_PreparedQuery | None] = [None] * len(queries)
             self._prepare_range(
-                queries, indices, sub_start, sub_stop, scan_stats, chunk_prepared
+                queries,
+                indices,
+                sub_start,
+                sub_stop,
+                scan_stats,
+                chunk_prepared,
+                code_space,
             )
             for i in indices:
                 prep = chunk_prepared[i]
@@ -275,21 +301,16 @@ class SharedScanExecutor:
         stop: int,
         stats: ExecutionStats,
         prepared: list[_PreparedQuery | None],
+        code_space: CodeSpace,
     ) -> None:
         """Scan once, evaluate shared expressions once, prepare each query."""
         base_columns = sorted(
             set().union(*(queries[i].base_columns_needed() for i in indices))
         )
-        value_columns = frozenset(
-            set().union(*(queries[i].value_columns_needed() for i in indices))
-        )
-        skip = dict_key_only_columns(self.store.table, base_columns, value_columns)
-        arrays = dict(
-            self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
-        )
-        # Skipped dict-encoded key columns still count as base names: they
-        # were scanned (codes), just never decoded into value arrays.
-        base_names = frozenset(arrays) | skip
+        arrays = code_space.scan(base_columns, start, stop, stats)
+        # Code-only columns count as base names too: they were scanned,
+        # just never decoded into value arrays.
+        base_names = frozenset(base_columns)
 
         derived_values: dict[Expression, np.ndarray] = {}
         arg_values: dict[Expression, np.ndarray] = {}
@@ -300,14 +321,13 @@ class SharedScanExecutor:
 
         for i in indices:
             query = queries[i]
+            aliases = query.derived_aliases
             # Names that are genuinely *base* for THIS query: its derived
             # aliases never count, even when they collide with a base column
             # another query in the batch had scanned — treating such a
             # reference as shareable would evaluate it against raw base data
             # instead of the query's derived values.
-            q_base = (
-                base_names - query.derived_aliases if query.derived else base_names
-            )
+            q_base = base_names - aliases if query.derived else base_names
 
             # Derived columns: one evaluation per distinct expression over
             # base columns; expressions chaining off derived aliases (or
@@ -325,11 +345,13 @@ class SharedScanExecutor:
                     if shareable:
                         values = derived_values.get(expr)
                         if values is None:
-                            values = np.asarray(expr.evaluate(arrays))
+                            compiled = code_space.compile(expr, aliases)
+                            values = np.asarray(compiled.evaluate(arrays))
                             derived_values[expr] = values
                         shared_exprs[derived.alias] = expr
                     else:
-                        values = np.asarray(expr.evaluate(q_arrays))
+                        compiled = code_space.compile(expr, aliases)
+                        values = np.asarray(compiled.evaluate(q_arrays))
                     q_arrays[derived.alias] = values
 
             # WHERE selector: one evaluation per distinct base-only predicate.
@@ -341,13 +363,13 @@ class SharedScanExecutor:
                 pred_token = predicate
                 selector = selectors.get(predicate)
                 if selector is None:
-                    mask = predicate.evaluate(arrays).astype(bool)
-                    selector = np.flatnonzero(mask)
+                    mask = code_space.compile(predicate, aliases).evaluate(arrays)
+                    selector = np.flatnonzero(mask.astype(bool))
                     selectors[predicate] = selector
             else:
                 pred_token = object()  # unique token: no cross-query sharing
-                mask = predicate.evaluate(q_arrays).astype(bool)
-                selector = np.flatnonzero(mask)
+                mask = code_space.compile(predicate, aliases).evaluate(q_arrays)
+                selector = np.flatnonzero(mask.astype(bool))
             n_filtered = len(selector) if selector is not None else (stop - start)
 
             key_columns = self._key_columns(
@@ -363,6 +385,7 @@ class SharedScanExecutor:
             )
             aggregate_inputs = self._aggregate_inputs(
                 query,
+                code_space,
                 q_arrays,
                 q_base,
                 shared_exprs,
@@ -395,8 +418,8 @@ class SharedScanExecutor:
                     values = arrays[name]
                     if selector is not None:
                         values = values[selector]
-                    categories, codes = np.unique(values, return_inverse=True)
-                    cached = (codes.astype(np.int32), categories)
+                    categories, codes = factorize(values)
+                    cached = (codes, categories)
                     if cache_key is not None:
                         derived_keys[cache_key] = cached
                 key_columns.append(GroupKeyColumn(name, cached[0], cached[1]))
@@ -420,6 +443,7 @@ class SharedScanExecutor:
     def _aggregate_inputs(
         self,
         query: AggregateQuery,
+        code_space: CodeSpace,
         arrays: dict[str, np.ndarray],
         q_base: frozenset[str],
         shared_exprs: dict[str, Expression],
@@ -451,14 +475,15 @@ class SharedScanExecutor:
                     token = ("col", spec.argument)
             else:
                 expr = spec.argument
+                compiled = code_space.compile(expr, query.derived_aliases)
                 if expr.referenced_columns() <= q_base and _hashable(expr):
                     values = arg_values.get(expr)
                     if values is None:
-                        values = np.asarray(expr.evaluate(arrays), dtype=np.float64)
+                        values = np.asarray(compiled.evaluate(arrays), dtype=np.float64)
                         arg_values[expr] = values
                     token = ("expr", expr)
                 else:
-                    values = np.asarray(expr.evaluate(arrays), dtype=np.float64)
+                    values = np.asarray(compiled.evaluate(arrays), dtype=np.float64)
             if selector is not None:
                 if token is not None:
                     filtered = filtered_args.get((token, pred_token))

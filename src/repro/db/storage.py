@@ -92,7 +92,8 @@ class StorageEngine(abc.ABC):
         into ``stats``.  Raises :class:`StorageError` for bad ranges or
         unknown columns.  Columns listed in ``skip_materialize`` are
         charged but omitted from the returned dict — the executors name
-        dictionary-encoded pure group-by keys here, whose codes they fetch
+        dictionary-encoded columns they read only as codes here (group
+        keys and code-space lookups), whose codes they fetch
         via :meth:`dictionary_slice` instead of ever decoding values (the
         read the pages charge for *is* the 4-byte-code read).
         """

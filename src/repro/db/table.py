@@ -595,6 +595,30 @@ class Table:
         codes = np.searchsorted(categories, values).astype(np.int32, copy=False)
         return codes, categories
 
+    def code_space_categories(self, name: str) -> np.ndarray | None:
+        """Categories of ``name`` if every range's codes come for free.
+
+        Free means :meth:`codes_range` never re-encodes values: the column
+        is dictionary-encoded (its logical values *are*
+        ``categories[codes]``), or the table is resident and the column is
+        a non-measure, non-float one, whose dictionary is built here once
+        in the cache group keys use.  Resident measures never qualify, so
+        no call builds a dictionary over them.  Resident float columns do
+        not either: ``np.unique`` merges ``-0.0`` with ``0.0`` and NaN
+        payloads, so their ``categories[codes]`` need not reproduce the
+        values bit for bit.  ``None`` when the column does not qualify.
+        """
+        chunked = self.chunked_column(name)
+        if isinstance(chunked, DictEncodedColumn):
+            return chunked.categories
+        if (
+            self.is_chunked
+            or chunked.value_dtype.kind in "fc"
+            or self.schema[name].role is ColumnRole.MEASURE
+        ):
+            return None
+        return self.dictionary(name)[1]
+
     def distinct_count(self, name: str) -> int:
         """Number of distinct values in a column (via the dictionary)."""
         return len(self.categories(name))

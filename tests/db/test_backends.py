@@ -264,6 +264,41 @@ class TestSQLiteQuoting:
         finally:
             sqlite.close()
 
+    def test_mixed_type_in_lists_agree(self, assert_backends_agree):
+        # Regression: natively a mixed IN list was promoted to text, so
+        # i IN ('x', 2, 2.5) matched no row while SQLite matched i = 2.
+        # The lists avoid text that SQLite's affinity would read as a
+        # number (or numbers it would read as present text): there the
+        # backends differ just as they do for ``=``.
+        table = Table(
+            "q",
+            {
+                "i": [2, 7, 3, 2, 5, 7],
+                "s": ["a", "b", "a", "c", "b", "c"],
+                "m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            },
+            roles={
+                "i": ColumnRole.DIMENSION,
+                "s": ColumnRole.DIMENSION,
+                "m": ColumnRole.MEASURE,
+            },
+        )
+        store = make_store("col", table)
+        native, sqlite = NativeBackend(store), SQLiteBackend(store)
+        try:
+            for group_by, predicate in (
+                ("s", E.isin("i", ["x", 2, 2.5])),
+                ("i", E.isin("s", ["a", 2, 7.5])),
+            ):
+                query = AggregateQuery(
+                    "q", (group_by,), (_avg("a", "m"),), predicate=predicate
+                )
+                got = native.execute(query)[0]
+                assert got.input_rows == 2
+                assert_backends_agree(got, sqlite.execute(query)[0])
+        finally:
+            sqlite.close()
+
     def test_unsafe_column_name_rejected(self):
         table = Table("t", {"group": ["a", "b"], "m": [1.0, 2.0]})
         with pytest.raises(BackendError, match="identifier-safe"):

@@ -41,6 +41,42 @@ class TestLeaves:
             with pytest.raises(QueryError, match="non-finite"):
                 E.In(E.col("a"), (1.0, bad)).to_sql()
 
+    def test_none_literal_raises(self):
+        # Regression: str(None) rendered the string 'None', so SQLite's
+        # ``c = 'None'`` matched rows holding "None" while native
+        # ``eq(c, None)`` matched nothing — a silent backend divergence.
+        with pytest.raises(QueryError, match="None"):
+            E.eq("s", None).to_sql()
+        with pytest.raises(QueryError, match="None"):
+            E.isin("s", ["x", None]).to_sql()
+
+    def test_in_never_matches_text_against_numbers(self):
+        # np.isin promotes text and numbers to a common dtype only on its
+        # size-chosen sort path; IN must not depend on how many rows come.
+        many = tuple(str(i) for i in range(40))
+        for n in (3, 100_000):
+            cols = {"a": np.arange(n), "s": np.arange(n).astype(str)}
+            assert not E.isin("a", many).evaluate(cols).any()
+            assert not E.isin("s", tuple(range(40))).evaluate(cols).any()
+
+    def test_mixed_in_list_matches_like_a_disjunction_of_equalities(self):
+        # Regression: a mixed list was promoted to one dtype, so the
+        # numbers in ('7', 2) became text and i IN ('7', 2) missed i == 2.
+        cols = {"i": np.array([2, 7, 3]), "s": np.array(["2", "7", "a"])}
+        for column, values in (
+            ("i", ("7", 2)),
+            ("i", ("7", 2, 2.5)),
+            ("i", (7, "x", 3.0)),
+            ("s", ("7", 2)),
+            ("s", (2, "a", 7.0)),
+        ):
+            either = E.Or(tuple(E.eq(column, v) for v in values))
+            np.testing.assert_array_equal(
+                E.isin(column, values).evaluate(cols), either.evaluate(cols)
+            )
+        assert E.isin("i", ("7", 2)).evaluate(cols).tolist() == [True, False, False]
+        assert E.isin("s", ("7", 2)).evaluate(cols).tolist() == [False, True, False]
+
     def test_numpy_scalar_literals_render_as_plain_numbers(self):
         assert E.lit(np.int64(3)).to_sql() == "3"
         assert E.lit(np.float64(2.5)).to_sql() == "2.5"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.db.groupby import (
     GroupKeyColumn,
     estimate_group_cardinality,
+    factorize,
     group_aggregate,
     spill_data_passes,
 )
@@ -17,6 +18,61 @@ from repro.exceptions import QueryError
 def _key(name, values):
     categories, codes = np.unique(values, return_inverse=True)
     return GroupKeyColumn(name, codes.astype(np.int32), categories)
+
+
+class TestFactorize:
+    """``factorize`` is ``np.unique(..., return_inverse=True)``, int32 codes."""
+
+    @staticmethod
+    def _assert_matches_unique(values):
+        categories, codes = factorize(values)
+        expected_categories, expected_codes = np.unique(values, return_inverse=True)
+        assert categories.dtype == expected_categories.dtype
+        assert categories.tobytes() == expected_categories.tobytes()
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, expected_codes.astype(np.int32))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([True, False, True, True]),
+            np.array([True, True]),
+            np.array([-128, 127, 0, -128, 5], dtype=np.int8),
+            np.array([-(10**12) - 3, -(10**12), -(10**12) - 1, -(10**12)]),
+            np.array([0, 1, 1, 0, 1, 1]),  # the sharing optimizer's flag
+            np.array([4_000_000_000, 4_000_000_007], dtype=np.uint32),
+            np.array([0, 10**9, 5]),  # span above the O(n) cutoff: sorts
+            np.array([], dtype=np.int64),
+            np.array([], dtype=bool),
+            np.array([2.5, np.nan, -0.5, np.nan, 2.5]),
+            np.array(["b", "a", "b", "c"]),
+        ],
+        ids=[
+            "bool",
+            "bool-one-value",
+            "int8-full-range",
+            "negative-int64",
+            "flag",
+            "uint32",
+            "wide-span",
+            "empty-int",
+            "empty-bool",
+            "float-nan",
+            "strings",
+        ],
+    )
+    def test_matches_np_unique(self, values):
+        self._assert_matches_unique(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda e: st.lists(st.integers(-(10 ** (3 * e)), 10 ** (3 * e)), max_size=40)
+        ),
+        st.integers(-(2**62), 2**62),
+    )
+    def test_matches_np_unique_on_random_integers(self, offsets, base):
+        self._assert_matches_unique(np.array(offsets, dtype=np.int64) + base)
 
 
 class TestBasicGrouping:
